@@ -19,8 +19,6 @@ from .voting import (
     ScalarWeightedSystem,
     build_mlc_sop,
     build_mwc_sop,
-    chamber_closed_form_tbp,
-    decision_function,
     pgi_cpgi,
     swap_robust_check,
     tbp_report,
@@ -39,8 +37,6 @@ __all__ = [
     "ScalarWeightedSystem",
     "build_mlc_sop",
     "build_mwc_sop",
-    "chamber_closed_form_tbp",
-    "decision_function",
     "pgi_cpgi",
     "swap_robust_check",
     "tbp_report",

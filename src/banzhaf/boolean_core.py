@@ -12,7 +12,7 @@ a variable is rejected at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ContractViolationError, DomainError, ResourceLimitError
 
@@ -140,9 +140,6 @@ class SopForm:
 
     def evaluate(self, bits: int) -> bool:
         return any(p.evaluate(bits) for p in self.products)
-
-    def evaluator(self) -> Callable[[int], bool]:
-        return self.evaluate
 
     def minterms(self) -> set[int]:
         """Exhaustive minterm set; intended for small n only (tests, oracles)."""
@@ -295,42 +292,6 @@ def weight_conjoined_disjoint(f: SopForm, g: SopForm) -> int:
             if not p.opposes(q):
                 total += 1 << (n - (p.support | q.support).bit_count())
     return total
-
-
-def weight_conjunction_disjoint_vars(fs: list[SopForm]) -> int:
-    """Weight of the conjunction of forms over pairwise-disjoint variable blocks.
-
-    All forms share one universe; their supports must not overlap.  Equal to
-    the product of block weights (times free-variable padding), computed here
-    as prod(wt(f_i)) / 2^(n*(k-1)).
-    """
-    if not fs:
-        raise DomainError("need at least one form")
-    n = fs[0].n
-    seen = 0
-    for f in fs:
-        if f.n != n:
-            raise DomainError("all forms must share one universe size")
-        support = 0
-        for p in f.products:
-            support |= p.support
-        if support & seen:
-            raise DomainError("variable blocks overlap")
-        seen |= support
-    product = 1
-    for f in fs:
-        wt = weight_disjoint(f) if f.disjoint_certified else weight_ie(f)
-        product *= wt
-    shift = n * (len(fs) - 1)
-    assert product % (1 << shift) == 0
-    return product >> shift
-
-
-def complement_weight(wt_f: int, n: int) -> int:
-    """Weight of the complement: 2^n - wt(f)."""
-    if not 0 <= wt_f <= (1 << n):
-        raise DomainError(f"weight {wt_f} out of range for universe of size {n}")
-    return (1 << n) - wt_f
 
 
 def derivative_weight(f: SopForm, var: int) -> int:

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedMethodError,
     ValidationError,
 )
-from .render import SCI_THRESHOLD, format_sci, format_sig
+from .render import SCI_THRESHOLD, format_int, format_sci, format_sig
 from .specfile import BUNDLED, load_system
 from .voting import METHODS, PowerReport, swap_robust_check, tbp_report, tbp_vector
 
@@ -81,7 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.digits < 1:
+        parser.error(f"argument --digits: must be at least 1, got {args.digits}")
+    if args.oracle_cap < 0:
+        parser.error(f"argument --oracle-cap: must be at least 0, got {args.oracle_cap}")
     indices = [s.strip() for s in args.index.split(",") if s.strip()]
     for idx in indices:
         if idx not in INDICES:
@@ -147,7 +152,7 @@ def _render_table(report: PowerReport, indices, args, swap_result) -> str:
     lines.append(f"method: {report.method}")
     if args.check:
         lines.append(f"cross-checked against: {args.check} (agreed)")
-    lines.append(f"total TBP: {_int_cell(report.total_tbp)}")
+    lines.append(f"total TBP: {format_int(report.total_tbp)}")
     for warning in report.warnings:
         lines.append(f"warning: {warning}")
 
@@ -165,7 +170,7 @@ def _render_table(report: PowerReport, indices, args, swap_result) -> str:
     for v in report.voters:
         row = [v.label]
         if "tbp" in indices:
-            row.append(_int_cell(v.tbp))
+            row.append(format_int(v.tbp))
         if "ntbp" in indices:
             row.append(f"{v.ntbp.numerator}/{v.ntbp.denominator}")
             row.append(format_sig(v.ntbp, args.digits))
@@ -193,12 +198,6 @@ def _render_table(report: PowerReport, indices, args, swap_result) -> str:
                 )
             )
     return "\n".join(lines) + "\n"
-
-
-def _int_cell(value: int) -> str:
-    if abs(value) >= SCI_THRESHOLD:
-        return f"{value} ({format_sci(value)})"
-    return str(value)
 
 
 def main(argv: list[str] | None = None) -> int:

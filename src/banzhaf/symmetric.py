@@ -41,25 +41,6 @@ class SymFunction:
         return bits.bit_count() in self.charset
 
 
-def sy_combine(lhs: SymFunction, rhs: SymFunction, op: str) -> SymFunction:
-    """AND / OR / XOR of two symmetric functions over the same arguments."""
-    if lhs.n != rhs.n:
-        raise DomainError(f"argument counts differ: {lhs.n} vs {rhs.n}")
-    if op == "and":
-        charset = lhs.charset & rhs.charset
-    elif op == "or":
-        charset = lhs.charset | rhs.charset
-    elif op == "xor":
-        charset = lhs.charset ^ rhs.charset
-    else:
-        raise DomainError(f"unknown operation {op!r}")
-    return SymFunction(lhs.n, charset)
-
-
-def sy_complement(f: SymFunction) -> SymFunction:
-    return SymFunction(f.n, frozenset(range(f.n + 1)) - f.charset)
-
-
 def sy_expand(f: SymFunction) -> tuple[SymFunction, SymFunction]:
     """Boole-Shannon expansion about any one variable.
 

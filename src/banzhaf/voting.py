@@ -1,22 +1,29 @@
 """Voting-system models and Banzhaf / Public Good Index computation.
 
 Systems are conjunctions of chambers over disjoint voter blocks; a plain
-quota-and-weights system is the one-chamber case.  Total Banzhaf power is
-computed by several independent routes (Boolean derivative, quotient
-formulas on the decision function or its complement, closed forms for
-k-out-of-n chambers, subset-sum dynamic programming, and the brute-force
-oracle), which must agree exactly.
+quota-and-weights system is the one-chamber case and a k-out-of-n chamber
+is a weighted chamber with unit weights.  Total Banzhaf power is computed by
+several independent routes (Boolean derivative, quotient formulas on the
+decision function or its complement, closed forms for k-out-of-n chambers,
+subset-sum dynamic programming, and the brute-force oracle), which must
+agree exactly.
+
+Every route but the oracle works on one chamber at a time: it returns each
+member's local swing count and the chamber's weight (its number of winning
+local assignments).  The chambers vote independently, so one compose step
+multiplies each member's count by the other chambers' weights.  The oracle
+enumerates the whole system, so it checks the compose step too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle as oracle_mod
 from .boolean_core import (
-    Literal,
     Product,
     SopForm,
     conjoin_literal,
@@ -32,7 +39,6 @@ from .errors import (
     UnsupportedMethodError,
     ValidationError,
 )
-from .symmetric import SymFunction, kofn_success
 
 MWC_CAP = 10**6
 
@@ -49,36 +55,54 @@ METHODS = (
 
 
 @dataclass(frozen=True)
-class ScalarWeightedSystem:
-    """A (quota; weights) system with positive integer weights."""
+class Chamber:
+    """One conjunct of a chamber system: it passes when the weights of its
+    yes-voters reach the quota.  A k-out-of-n chamber has unit weights and
+    quota k; quota 0 is the constant-true chamber."""
 
+    labels: tuple[str, ...]
     quota: int
     weights: tuple[int, ...]
-    labels: tuple[str, ...] = ()
+    # (k, n) when the chamber is k-out-of-n; it is then decided by popcount
+    _kofn: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = tuple(self.weights)
+        labels, weights = tuple(self.labels), tuple(self.weights)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
-        if not weights:
-            raise ValidationError("at least one voter required")
-        if any(not isinstance(w, int) or w <= 0 for w in weights):
-            raise ValidationError(f"weights must be positive integers, got {list(weights)}")
-        if not isinstance(self.quota, int) or self.quota < 1:
-            raise ValidationError(f"quota must be a positive integer, got {self.quota}")
-        if self.quota > sum(weights):
-            raise ValidationError(
-                f"quota {self.quota} exceeds total weight {sum(weights)}"
-            )
-        labels = tuple(self.labels) or tuple(f"X{i + 1}" for i in range(len(weights)))
         if len(labels) != len(weights):
             raise ValidationError("labels and weights differ in length")
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate voter labels")
-        object.__setattr__(self, "labels", labels)
+        if any(not isinstance(w, int) or w <= 0 for w in weights):
+            raise ValidationError(f"weights must be positive integers, got {list(weights)}")
+        total = sum(weights)
+        if not isinstance(self.quota, int) or not 0 <= self.quota <= total:
+            raise ValidationError(f"quota {self.quota} outside 0..{total}")
+        kofn = None
+        if self.quota == total:
+            kofn = (self.n, self.n)
+        elif len(set(weights)) == 1:
+            kofn = (-(-self.quota // weights[0]), self.n)
+        object.__setattr__(self, "_kofn", kofn)
+
+    @classmethod
+    def weighted(cls, labels, quota: int, weights) -> "Chamber":
+        """A weighted chamber as a spec states it: its quota is positive."""
+        return cls(labels, _positive_quota(quota), weights)
+
+    @classmethod
+    def k_of_n(cls, labels, k: int) -> "Chamber":
+        labels = tuple(labels)
+        return cls(labels, k, (1,) * len(labels))
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self.labels)
+
+    def as_kofn(self) -> tuple[int, int] | None:
+        """(k, n) when the chamber is k-out-of-n: equal weights, or unanimity."""
+        return self._kofn
 
     @property
     def prudent(self) -> bool:
@@ -86,131 +110,41 @@ class ScalarWeightedSystem:
         return 2 * self.quota > sum(self.weights)
 
     def evaluate(self, bits: int) -> bool:
+        """Decision on a chamber-local assignment bitmask."""
+        if self._kofn is not None:
+            return bits.bit_count() >= self._kofn[0]
         total = 0
         for i, w in enumerate(self.weights):
             if bits >> i & 1:
                 total += w
         return total >= self.quota
 
-
-@dataclass(frozen=True)
-class Chamber:
-    """One conjunct of a chamber system: either weighted or k-out-of-n."""
-
-    labels: tuple[str, ...]
-    quota: int | None = None
-    weights: tuple[int, ...] | None = None
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(self.weights))
-        weighted = self.weights is not None or self.quota is not None
-        k_of_n = self.k is not None
-        if weighted == k_of_n:
-            raise ValidationError("chamber must be weighted or k-out-of-n, not both")
-        if weighted:
-            # delegate validation (positivity, quota range, label uniqueness)
-            ScalarWeightedSystem(self.quota, self.weights, self.labels)
-        else:
-            if not 0 <= self.k <= self.n:
-                raise ValidationError(f"k={self.k} outside 0..{self.n}")
-            if len(set(self.labels)) != len(self.labels):
-                raise ValidationError("duplicate voter labels")
-
-    @classmethod
-    def weighted(cls, labels, quota: int, weights) -> "Chamber":
-        return cls(labels=tuple(labels), quota=quota, weights=tuple(weights))
-
-    @classmethod
-    def k_of_n(cls, labels, k: int) -> "Chamber":
-        return cls(labels=tuple(labels), k=k)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def is_k_of_n(self) -> bool:
-        return self.k is not None
-
-    def as_scalar(self) -> ScalarWeightedSystem:
-        if self.is_k_of_n:
-            if self.k < 1:
-                raise DomainError("constant-true chamber has no scalar form")
-            return ScalarWeightedSystem(self.k, (1,) * self.n, self.labels)
-        return ScalarWeightedSystem(self.quota, self.weights, self.labels)
-
-    def as_kofn(self) -> tuple[int, int] | None:
-        """Reduce to (k, n) when possible: native, equal weights, or unanimity."""
-        if self.is_k_of_n:
-            return self.k, self.n
-        total = sum(self.weights)
-        if self.quota == total:
-            return self.n, self.n
-        if len(set(self.weights)) == 1:
-            w = self.weights[0]
-            return -(-self.quota // w), self.n
-        return None
-
-    @property
-    def prudent(self) -> bool:
-        if self.is_k_of_n:
-            return 2 * self.k > self.n
-        return 2 * self.quota > sum(self.weights)
-
-    def evaluate(self, bits: int) -> bool:
-        """Decision on a chamber-local assignment bitmask."""
-        if self.is_k_of_n:
-            return bits.bit_count() >= self.k
-        return self.as_scalar().evaluate(bits)
-
     def weight(self) -> int:
         """Number of winning local assignments."""
-        if self.is_k_of_n:
-            return cum_binom(self.n, self.k)
         return _dp_winning_count(self.weights, self.quota)
 
     def symmetric_blocks(self) -> list[list[int]]:
         """Local voter indices grouped so each group provably shares one TBP."""
-        if self.is_k_of_n:
-            return [list(range(self.n))]
         groups: dict[int, list[int]] = {}
         for i, w in enumerate(self.weights):
             groups.setdefault(w, []).append(i)
         return [groups[w] for w in sorted(groups, reverse=True)]
 
-    def mwc_products(self, cap: int = MWC_CAP) -> list[Product]:
-        """Prime implicants of the chamber decision (local variable indices)."""
-        if self.is_k_of_n:
-            if self.k <= 0:
-                return [Product()]
-            if binom(self.n, self.k) > cap:
-                raise ResourceLimitError(
-                    f"{binom(self.n, self.k)} minimal winning coalitions exceed cap {cap}"
-                )
-            return [
-                Product(Literal(v) for v in combo)
-                for combo in itertools.combinations(range(self.n), self.k)
-            ]
-        return list(build_mwc_sop(self.as_scalar(), cap=cap).products)
 
-    def mlc_products(self, cap: int = MWC_CAP) -> list[Product]:
-        """Prime implicants of the chamber complement (complemented literals)."""
-        if self.is_k_of_n:
-            absent = self.n - self.k + 1
-            if self.k <= 0:
-                return []
-            if binom(self.n, absent) > cap:
-                raise ResourceLimitError(
-                    f"{binom(self.n, absent)} maximal losing coalitions exceed cap {cap}"
-                )
-            return [
-                Product(Literal(v, positive=False) for v in combo)
-                for combo in itertools.combinations(range(self.n), absent)
-            ]
-        return list(build_mlc_sop(self.as_scalar(), cap=cap).products)
+class ScalarWeightedSystem(Chamber):
+    """A (quota; weights) system standing alone: a weighted chamber with a
+    positive quota, whose voters are X1, X2, ... unless labels are given."""
+
+    def __init__(self, quota: int, weights, labels=()) -> None:
+        weights = tuple(weights)
+        labels = tuple(labels) or tuple(f"X{i + 1}" for i in range(len(weights)))
+        super().__init__(labels, _positive_quota(quota), weights)
+
+
+def _positive_quota(quota: int) -> int:
+    if not isinstance(quota, int) or quota < 1:
+        raise ValidationError(f"quota must be a positive integer, got {quota}")
+    return quota
 
 
 @dataclass(frozen=True)
@@ -219,18 +153,23 @@ class ChamberSystem:
 
     chambers: tuple[Chamber, ...]
     name: str = ""
+    # position of each chamber's first voter in the system's voter order
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chambers", tuple(self.chambers))
-        if not self.chambers:
+        chambers = tuple(self.chambers)
+        object.__setattr__(self, "chambers", chambers)
+        if not chambers:
             raise ValidationError("at least one chamber required")
-        labels = [lab for ch in self.chambers for lab in ch.labels]
+        labels = [lab for ch in chambers for lab in ch.labels]
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate voter labels across chambers")
+        offsets = itertools.accumulate((ch.n for ch in chambers[:-1]), initial=0)
+        object.__setattr__(self, "offsets", tuple(offsets))
 
     @classmethod
     def from_scalar(cls, sys: ScalarWeightedSystem, name: str = "") -> "ChamberSystem":
-        return cls((Chamber.weighted(sys.labels, sys.quota, sys.weights),), name=name)
+        return cls((sys,), name=name)
 
     @property
     def total_n(self) -> int:
@@ -240,23 +179,9 @@ class ChamberSystem:
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for ch in self.chambers for lab in ch.labels)
 
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        offs = []
-        pos = 0
-        for ch in self.chambers:
-            offs.append(pos)
-            pos += ch.n
-        return tuple(offs)
-
-    @property
-    def dimension_bound(self) -> int:
-        return len(self.chambers)
-
     def evaluate(self, bits: int) -> bool:
         for ch, off in zip(self.chambers, self.offsets):
-            local = (bits >> off) & ((1 << ch.n) - 1)
-            if not ch.evaluate(local):
+            if not ch.evaluate(bits >> off & ((1 << ch.n) - 1)):
                 return False
         return True
 
@@ -301,61 +226,78 @@ class PowerReport:
 # Prime implicant enumeration
 
 
-def build_mwc_sop(sys: ScalarWeightedSystem, cap: int = MWC_CAP) -> SopForm:
-    """All minimal winning coalitions as a positive-unate sum of products.
+def _minimal_coalitions(weights: tuple[int, ...], quota: int, cap: int) -> list[int]:
+    """Bit masks of the minimal coalitions whose weight reaches the quota, in
+    canonical (cardinality, lexicographic index) order.
 
-    Branch and bound over weight-sorted voters; a branch is cut as soon as it
-    wins (supersets are non-minimal) or cannot reach the quota.  Products are
-    returned in canonical (cardinality, lexicographic index) order.
+    Branch and bound over weight-sorted voters on an explicit stack, so that
+    the depth is not limited by the interpreter's recursion limit; a branch
+    is cut as soon as it reaches the quota (supersets are non-minimal) or
+    cannot reach it any more.
     """
-    n, quota, weights = sys.n, sys.quota, sys.weights
+    n = len(weights)
     order = sorted(range(n), key=lambda i: (-weights[i], i))
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[order[i]]
-    found: list[tuple[int, ...]] = []
-
-    def descend(idx: int, chosen: list[int], total: int) -> None:
+    found: list[int] = []
+    # (next position in order, coalition mask, its weight, its last member's weight)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        idx, mask, total, last = stack.pop()
         if total >= quota:
-            # voters were added in non-increasing weight, so the lightest
-            # member is the last; minimality needs even it to be necessary
-            if total - weights[chosen[-1]] < quota:
+            # voters join in non-increasing weight, so the last one is the
+            # lightest; minimality needs even it to be necessary
+            if not mask or total - last < quota:
                 if len(found) >= cap:
                     raise ResourceLimitError(
                         f"more than {cap} minimal winning coalitions; "
                         "use the symmetric or dynamic-programming routes"
                     )
-                found.append(tuple(sorted(chosen)))
-            return
+                found.append(mask)
+            continue
         if idx == n or total + suffix[idx] < quota:
-            return
-        chosen.append(order[idx])
-        descend(idx + 1, chosen, total + weights[order[idx]])
-        chosen.pop()
-        descend(idx + 1, chosen, total)
-
-    descend(0, [], 0)
-    found.sort(key=lambda s: (len(s), s))
-    products = tuple(Product(Literal(v) for v in s) for s in found)
-    return SopForm(n, products)
+            continue
+        v = order[idx]
+        # the branch with voter v is popped, and so searched, first
+        stack.append((idx + 1, mask, total, last))
+        stack.append((idx + 1, mask | 1 << v, total + weights[v], weights[v]))
+    found.sort(key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
+    return found
 
 
-def build_mlc_sop(sys: ScalarWeightedSystem, cap: int = MWC_CAP) -> SopForm:
+def build_mwc_sop(ch: Chamber, cap: int = MWC_CAP) -> SopForm:
+    """All minimal winning coalitions as a positive-unate sum of products."""
+    masks = _minimal_coalitions(ch.weights, ch.quota, cap)
+    return SopForm(ch.n, tuple(Product.from_masks(m, 0) for m in masks))
+
+
+def build_mlc_sop(ch: Chamber, cap: int = MWC_CAP) -> SopForm:
     """Prime implicants of the complement as products of complemented literals.
 
     A maximal losing coalition leaves out a minimal blocking set of voters;
-    blocking sets are the minimal winning coalitions of the system with the
-    complemented threshold (total - quota + 1).
+    blocking sets are the minimal coalitions reaching the complemented
+    threshold (total - quota + 1).
     """
-    mirrored = ScalarWeightedSystem(
-        sum(sys.weights) - sys.quota + 1, sys.weights, sys.labels
-    )
-    positive = build_mwc_sop(mirrored, cap=cap)
-    products = tuple(
-        Product(Literal(lit.var, positive=False) for lit in p.literals())
-        for p in positive.products
-    )
-    return SopForm(sys.n, products)
+    masks = _minimal_coalitions(ch.weights, sum(ch.weights) - ch.quota + 1, cap)
+    return SopForm(ch.n, tuple(Product.from_masks(0, m) for m in masks))
+
+
+def _chamber_forms(system: ChamberSystem, losing: bool, cap: int) -> list[SopForm]:
+    """Each chamber's MWC form, or its MLC form when losing.
+
+    Every k-out-of-n chamber is sized against the cap by its binomial count
+    before any list is built; the enumerator sizes the others as it runs.
+    """
+    for ch in system.chambers:
+        if (kofn := ch.as_kofn()) is not None:
+            k, n = kofn
+            count = binom(n, n - k + 1) if losing else binom(n, k)
+            if count > cap:
+                kind = "maximal losing" if losing else "minimal winning"
+                raise ResourceLimitError(f"{count} {kind} coalitions exceed cap {cap}")
+    build = build_mlc_sop if losing else build_mwc_sop
+    return [build(ch, cap=cap) for ch in system.chambers]
 
 
 def _canonical_sort(products: list[Product]) -> tuple[Product, ...]:
@@ -370,22 +312,15 @@ def mwc_sop(system: ChamberSystem, cap: int = MWC_CAP) -> SopForm:
     With disjoint voter blocks these are exactly the cross products of the
     per-chamber minimal winning coalitions.
     """
-    per_chamber = []
-    count = 1
-    for ch in system.chambers:
-        prods = ch.mwc_products(cap=cap)
-        count *= max(len(prods), 1)
-        if count > cap:
-            raise ResourceLimitError(f"more than {cap} minimal winning coalitions")
-        per_chamber.append(prods)
-    offsets = system.offsets
+    per_chamber = [f.products for f in _chamber_forms(system, False, cap)]
+    if math.prod(map(len, per_chamber)) > cap:
+        raise ResourceLimitError(f"more than {cap} minimal winning coalitions")
     combined = []
     for combo in itertools.product(*per_chamber):
-        pos = neg = 0
-        for prod, off in zip(combo, offsets):
+        pos = 0
+        for prod, off in zip(combo, system.offsets):
             pos |= prod.pos << off
-            neg |= prod.neg << off
-        combined.append(Product.from_masks(pos, neg))
+        combined.append(Product.from_masks(pos, 0))
     return SopForm(system.total_n, _canonical_sort(combined))
 
 
@@ -396,29 +331,18 @@ def mlc_sop(system: ChamberSystem, cap: int = MWC_CAP) -> SopForm:
     of the chamber complements, so its prime implicants are the union of the
     per-chamber ones.
     """
-    combined = []
-    for ch, off in zip(system.chambers, system.offsets):
-        for prod in ch.mlc_products(cap=cap):
-            combined.append(Product.from_masks(prod.pos << off, prod.neg << off))
-            if len(combined) > cap:
-                raise ResourceLimitError(f"more than {cap} maximal losing coalitions")
+    combined = [
+        Product.from_masks(0, prod.neg << off)
+        for form, off in zip(_chamber_forms(system, True, cap), system.offsets)
+        for prod in form.products
+    ]
+    if len(combined) > cap:
+        raise ResourceLimitError(f"more than {cap} maximal losing coalitions")
     return SopForm(system.total_n, _canonical_sort(combined))
 
 
-def decision_function(system: ChamberSystem) -> list[SymFunction | SopForm]:
-    """Factored representation: one symmetric function or SOP per chamber,
-    each over its chamber-local universe."""
-    out: list[SymFunction | SopForm] = []
-    for ch in system.chambers:
-        if ch.is_k_of_n:
-            out.append(kofn_success(ch.k, ch.n))
-        else:
-            out.append(build_mwc_sop(ch.as_scalar()))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Subset-sum dynamic programming (internal route for large scalar chambers)
+# Subset-sum dynamic programming
 
 
 def _dp_sum_counts(weights: tuple[int, ...]) -> list[int]:
@@ -446,108 +370,95 @@ def _dp_swing_count(weights: tuple[int, ...], quota: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Total Banzhaf power
+# Per-chamber composition
 
 
-def chamber_closed_form_tbp(system: ChamberSystem, chamber_index: int) -> int:
-    """TBP of any member of the indexed chamber when every chamber reduces to
-    k-out-of-n: c(n_i - 1, k_i - 1) times the product of the other chambers'
-    cumulative binomial weights."""
-    reduced = []
-    for ch in system.chambers:
-        kn = ch.as_kofn()
-        if kn is None:
-            raise UnsupportedMethodError(
-                "closed form needs every chamber to reduce to k-out-of-n"
-            )
-        reduced.append(kn)
-    if not 0 <= chamber_index < len(reduced):
-        raise DomainError(f"chamber index {chamber_index} out of range")
-    k_i, n_i = reduced[chamber_index]
-    tbp = binom(n_i - 1, k_i - 1)
-    for j, (k_j, n_j) in enumerate(reduced):
-        if j != chamber_index:
-            tbp *= cum_binom(n_j, k_j)
-    return tbp
-
-
-def _fan_out(system: ChamberSystem, per_chamber_fn) -> list[int]:
-    """Build the global TBP vector, computing one representative per
-    symmetric block and copying across the block."""
+def _compose(per_chamber: list[tuple[list[int], int]]) -> list[int]:
+    """Whole-system vector from (member counts, chamber factor) per chamber:
+    each member's count times the factors of all other chambers."""
     vector: list[int] = []
-    for ci, ch in enumerate(system.chambers):
-        values = [0] * ch.n
-        for block in ch.symmetric_blocks():
-            v = per_chamber_fn(ci, ch, block[0])
-            for i in block:
-                values[i] = v
-        vector.extend(values)
+    for i, (local, _) in enumerate(per_chamber):
+        others = math.prod(f for j, (_, f) in enumerate(per_chamber) if j != i)
+        vector.extend(count * others for count in local)
     return vector
 
 
-def _tbp_sop_route(system: ChamberSystem, method: str, mwc_cap: int) -> list[int]:
-    fd = make_disjoint(mwc_sop(system, cap=mwc_cap))
-    wt_f = weight_disjoint(fd)
-
-    def one(ci: int, ch: Chamber, local: int) -> int:
-        m = system.offsets[ci] + local
-        if method == "derivative":
-            return _sop_derivative_weight(fd, m)
-        if method == "quotient_pos":
-            hi = weight_disjoint(conjoin_literal(restrict(fd, m, 1), m, True))
-            return 2 * hi - wt_f
-        if method == "quotient_neg":
-            lo = weight_disjoint(conjoin_literal(restrict(fd, m, 0), m, False))
-            return wt_f - 2 * lo
-        hi = weight_disjoint(conjoin_literal(restrict(fd, m, 1), m, True))
-        lo = weight_disjoint(conjoin_literal(restrict(fd, m, 0), m, False))
-        return hi - lo
-
-    return _fan_out(system, one)
+def _per_block(ch: Chamber, count) -> list[int]:
+    """Member counts of one chamber: count(m) for one representative m per
+    symmetric block, copied across the block."""
+    values = [0] * ch.n
+    for block in ch.symmetric_blocks():
+        value = count(block[0])
+        for m in block:
+            values[m] = value
+    return values
 
 
-def _tbp_complement_route(system: ChamberSystem, mwc_cap: int) -> list[int]:
-    gd = make_disjoint(mlc_sop(system, cap=mwc_cap))
-    wt_g = weight_disjoint(gd)
-
-    def one(ci: int, ch: Chamber, local: int) -> int:
-        m = system.offsets[ci] + local
-        hi = weight_disjoint(conjoin_literal(restrict(gd, m, 1), m, True))
-        return wt_g - 2 * hi
-
-    return _fan_out(system, one)
+# ---------------------------------------------------------------------------
+# Total Banzhaf power
 
 
-def _tbp_oracle_route(system: ChamberSystem, oracle_cap: int) -> list[int]:
-    n = system.total_n
-
-    def one(ci: int, ch: Chamber, local: int) -> int:
-        return oracle_mod.oracle_tbp(
-            system.evaluate, n, system.offsets[ci] + local, cap=oracle_cap
+def _closed_form_local(ch: Chamber) -> tuple[list[int], int]:
+    """k-out-of-n: c(n - 1, k - 1) swings per member, weight C(n, k)."""
+    kofn = ch.as_kofn()
+    if kofn is None:
+        raise UnsupportedMethodError(
+            "closed form needs every chamber to reduce to k-out-of-n"
         )
+    k, n = kofn
+    return [binom(n - 1, k - 1) if k else 0] * n, cum_binom(n, k)
 
-    return _fan_out(system, one)
+
+def _branch_weight(fd: SopForm, m: int, value: int) -> int:
+    """wt(f/Xm · Xm) for value 1, wt(f/X̄m · X̄m) for value 0."""
+    return weight_disjoint(conjoin_literal(restrict(fd, m, value), m, bool(value)))
 
 
-def _tbp_closed_form(system: ChamberSystem) -> list[int]:
-    per = [chamber_closed_form_tbp(system, i) for i in range(len(system.chambers))]
-    return [per[ci] for ci, ch in enumerate(system.chambers) for _ in range(ch.n)]
+def _sop_swing(method: str, fd: SopForm, wt: int, m: int) -> int:
+    """Swing count of variable m from a disjoint form of weight wt: the
+    decision function's, or for complement the complement's."""
+    if method == "derivative":
+        return _sop_derivative_weight(fd, m)
+    if method == "quotient_neg":
+        return wt - 2 * _branch_weight(fd, m, 0)
+    hi = _branch_weight(fd, m, 1)
+    if method == "quotient_pos":
+        return 2 * hi - wt
+    if method == "complement":
+        return wt - 2 * hi
+    return hi - _branch_weight(fd, m, 0)
+
+
+def _tbp_sop_route(system: ChamberSystem, method: str, mwc_cap: int) -> list[int]:
+    """Derivative, quotient or complement route on each chamber's disjointed
+    MWC form (MLC form for complement), composed once."""
+    losing = method == "complement"
+    per_chamber = []
+    for ch, form in zip(system.chambers, _chamber_forms(system, losing, mwc_cap)):
+        fd = make_disjoint(form)
+        wt = weight_disjoint(fd)
+        swings = _per_block(ch, lambda m: _sop_swing(method, fd, wt, m))
+        per_chamber.append((swings, (1 << ch.n) - wt if losing else wt))
+    return _compose(per_chamber)
 
 
 def _tbp_dp_route(system: ChamberSystem) -> list[int]:
-    chamber_weights = [ch.weight() for ch in system.chambers]
+    return _compose([
+        (_per_block(ch, lambda m: _dp_swing_count(ch.weights, ch.quota, m)), ch.weight())
+        for ch in system.chambers
+    ])
 
-    def one(ci: int, ch: Chamber, local: int) -> int:
-        if ch.is_k_of_n:
-            swing = binom(ch.n - 1, ch.k - 1) if ch.k >= 1 else 0
-        else:
-            swing = _dp_swing_count(ch.weights, ch.quota, local)
-        for j, w in enumerate(chamber_weights):
-            if j != ci:
-                swing *= w
-        return swing
 
-    return _fan_out(system, one)
+def _tbp_oracle_route(system: ChamberSystem, oracle_cap: int) -> list[int]:
+    """Swing counts on the whole system's truth table, not composed."""
+    n = system.total_n
+    vector: list[int] = []
+    for ch, off in zip(system.chambers, system.offsets):
+        vector += _per_block(
+            ch,
+            lambda m: oracle_mod.oracle_tbp(system.evaluate, n, off + m, cap=oracle_cap),
+        )
+    return vector
 
 
 def tbp_vector(
@@ -561,20 +472,17 @@ def tbp_vector(
     if method not in METHODS:
         raise UnsupportedMethodError(f"unknown method {method!r}")
     if method == "auto":
-        try:
-            return _tbp_closed_form(system), "closed_form"
-        except UnsupportedMethodError:
-            pass
-        try:
-            return _tbp_sop_route(system, "quotient_pos", mwc_cap), "quotient_pos"
-        except ResourceLimitError:
-            return _tbp_dp_route(system), "dp"
+        if all(ch.as_kofn() is not None for ch in system.chambers):
+            method = "closed_form"
+        else:
+            try:
+                return _tbp_sop_route(system, "quotient_pos", mwc_cap), "quotient_pos"
+            except ResourceLimitError:
+                return _tbp_dp_route(system), "dp"
     if method == "closed_form":
-        return _tbp_closed_form(system), method
+        return _compose([_closed_form_local(ch) for ch in system.chambers]), method
     if method == "oracle":
         return _tbp_oracle_route(system, oracle_cap), method
-    if method == "complement":
-        return _tbp_complement_route(system, mwc_cap), method
     return _tbp_sop_route(system, method, mwc_cap), method
 
 
@@ -621,21 +529,28 @@ def tbp_report(
 
 def pgi_cpgi(system: ChamberSystem, cap: int = MWC_CAP) -> tuple[list[int], list[int]]:
     """Per-voter counts of minimal winning coalitions containing the voter and
-    of maximal-losing-coalition products naming the voter's absence."""
-    n = system.total_n
-    winning = mwc_sop(system, cap=cap)
-    losing = mlc_sop(system, cap=cap)
-    pgi = [0] * n
-    cpgi = [0] * n
-    for p in winning.products:
-        for v in range(n):
-            if p.pos >> v & 1:
-                pgi[v] += 1
-    for p in losing.products:
-        for v in range(n):
-            if p.neg >> v & 1:
-                cpgi[v] += 1
+    of maximal-losing-coalition products naming the voter's absence.
+
+    A minimal winning coalition of the system is one of each chamber's, so a
+    member's PGI is its chamber-local count times the other chambers' MWC
+    counts; the complement's prime implicants are the union of the chambers',
+    so CPGI is the chamber-local count.
+    """
+    winning = _chamber_forms(system, False, cap)
+    losing = _chamber_forms(system, True, cap)
+    pgi = _compose([
+        (_member_counts([p.pos for p in f.products], ch.n), len(f.products))
+        for ch, f in zip(system.chambers, winning)
+    ])
+    cpgi = _compose([
+        (_member_counts([p.neg for p in g.products], ch.n), 1)
+        for ch, g in zip(system.chambers, losing)
+    ])
     return pgi, cpgi
+
+
+def _member_counts(masks: list[int], n: int) -> list[int]:
+    return [sum(mask >> v & 1 for mask in masks) for v in range(n)]
 
 
 # ---------------------------------------------------------------------------

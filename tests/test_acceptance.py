@@ -126,7 +126,7 @@ def test_criterion_5_tricameral_parliament(capsys):
         # chamber-local oracle swing times the other chambers' winning counts
         per_chamber = []
         for ch in system.chambers:
-            local = kofn_success(ch.k, ch.n)
+            local = kofn_success(ch.quota, ch.n)
             swing = oracle_tbp(local.evaluate, ch.n, 0)
             weight = oracle_weight(local.evaluate, ch.n)
             per_chamber.append((swing, weight))

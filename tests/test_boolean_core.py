@@ -12,7 +12,6 @@ from banzhaf.boolean_core import (
     Product,
     SopForm,
     certify_disjoint,
-    complement_weight,
     conjoin_literal,
     derivative_weight,
     is_pairwise_disjoint,
@@ -20,7 +19,6 @@ from banzhaf.boolean_core import (
     is_positive_unate_semantic,
     make_disjoint,
     restrict,
-    weight_conjunction_disjoint_vars,
     weight_disjoint,
     weight_ie,
 )
@@ -166,30 +164,6 @@ def test_weight_routes_agree_randomly():
         expected = tt_weight(f)
         assert weight_ie(f) == expected
         assert weight_disjoint(make_disjoint(f)) == expected
-
-
-def test_weight_conjunction_disjoint_vars():
-    parents = sop(5, product(0), product((0, False), 1), disjoint=True)
-    children = sop(
-        5,
-        product(2, 3),
-        product((2, False), 3, 4),
-        product(2, (3, False), 4),
-        disjoint=True,
-    )
-    assert weight_conjunction_disjoint_vars([parents, children]) == 12
-    # conjoining the constant-1 block changes nothing
-    assert weight_conjunction_disjoint_vars([parents, sop(5, product(), disjoint=True)]) == 24
-    with pytest.raises(DomainError):
-        weight_conjunction_disjoint_vars([parents, sop(5, product(1, 2))])
-
-
-def test_complement_weight_examples():
-    assert complement_weight(15, 5) == 17
-    assert complement_weight(0, 8) == 256
-    assert complement_weight(32, 6) == 32
-    with pytest.raises(DomainError):
-        complement_weight(33, 5)
 
 
 # --- derivative ------------------------------------------------------------

@@ -145,6 +145,16 @@ def test_exit_code_cross_check_disagreement(monkeypatch):
     assert cli.main(["--system", "family", "--check", "oracle"]) == 6
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--digits", "0"), ("--digits", "-3"), ("--oracle-cap", "-1")]
+)
+def test_argparse_rejects_out_of_range_numbers(flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--system", "family", flag, value])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_argparse_rejects_unknown_method():
     with pytest.raises(SystemExit):
         cli.run(["--system", "family", "--method", "banzhaf2"], out=io.StringIO())

@@ -1,0 +1,106 @@
+"""Differential checks of the per-chamber routes against whole-system
+enumeration, on seeded random multi-chamber systems."""
+
+import random
+
+import pytest
+
+from banzhaf import voting
+from banzhaf.errors import UnsupportedMethodError
+from banzhaf.specfile import load_system
+from banzhaf.voting import Chamber, ChamberSystem, pgi_cpgi, tbp_vector
+
+ROUTES = ("derivative", "quotient_pos", "quotient_neg", "quotient_diff", "complement", "auto")
+
+
+def random_chamber(rng: random.Random, labels: list[str]) -> Chamber:
+    n = len(labels)
+    kind = rng.choice(("weighted", "k_of_n", "equal_weights"))
+    if kind == "k_of_n":
+        return Chamber.k_of_n(labels, rng.randint(0, n))
+    if kind == "equal_weights":
+        weights = (rng.randint(2, 5),) * n
+    else:
+        weights = tuple(rng.randint(1, 9) for _ in range(n))
+    return Chamber.weighted(labels, rng.randint(1, sum(weights)), weights)
+
+
+def random_system(rng: random.Random) -> ChamberSystem:
+    """1-3 chambers of at least one voter each, at most 10 voters in all."""
+    count = rng.randint(1, 3)
+    total = rng.randint(count, 10)
+    cuts = sorted(rng.sample(range(1, total), count - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return ChamberSystem(
+        tuple(
+            random_chamber(rng, [f"C{c}V{i}" for i in range(n)])
+            for c, n in enumerate(sizes)
+        )
+    )
+
+
+def brute_force_pgi_cpgi(system: ChamberSystem) -> tuple[list[int], list[int]]:
+    """Minimal winning and maximal losing coalitions of the whole system,
+    decided straight from the chamber weights and quotas."""
+    n = system.total_n
+
+    def wins(bits: int) -> bool:
+        pos = 0
+        for ch in system.chambers:
+            yes = sum(w for i, w in enumerate(ch.weights) if bits >> (pos + i) & 1)
+            if yes < ch.quota:
+                return False
+            pos += ch.n
+        return True
+
+    table = [wins(bits) for bits in range(1 << n)]
+    pgi, cpgi = [0] * n, [0] * n
+    for bits in range(1 << n):
+        members = [v for v in range(n) if bits >> v & 1]
+        others = [v for v in range(n) if not bits >> v & 1]
+        if table[bits] and not any(table[bits ^ 1 << v] for v in members):
+            for v in members:
+                pgi[v] += 1
+        if not table[bits] and all(table[bits | 1 << v] for v in others):
+            for v in others:
+                cpgi[v] += 1
+    return pgi, cpgi
+
+
+def test_routes_match_whole_system_oracle_on_random_chamber_systems():
+    rng = random.Random(2718)
+    for _ in range(150):
+        system = random_system(rng)
+        assert 1 <= len(system.chambers) <= 3 and system.total_n <= 10
+        reference = tbp_vector(system, "oracle")[0]
+        for method in ROUTES:
+            assert tbp_vector(system, method)[0] == reference, (method, system)
+        assert voting._tbp_dp_route(system) == reference, system
+        if all(ch.as_kofn() is not None for ch in system.chambers):
+            assert tbp_vector(system, "closed_form")[0] == reference, system
+        else:
+            with pytest.raises(UnsupportedMethodError):
+                tbp_vector(system, "closed_form")
+        assert pgi_cpgi(system) == brute_force_pgi_cpgi(system), system
+
+
+def test_every_route_matches_closed_form_on_tricameral():
+    system = load_system("tricameral")
+    expected = tbp_vector(system, "closed_form")[0]
+    for method in ROUTES:
+        assert tbp_vector(system, method)[0] == expected, method
+    assert voting._tbp_dp_route(system) == expected
+
+
+def test_kofn_chambers_sized_before_any_enumeration(monkeypatch):
+    council = Chamber.weighted(("A", "B", "C", "D"), 6, (4, 3, 2, 1))
+    assembly = Chamber.k_of_n(tuple(f"N{i}" for i in range(6)), 3)  # 20 MWCs
+    system = ChamberSystem((council, assembly))
+    enumerated = []
+    real = voting.build_mwc_sop
+    monkeypatch.setattr(
+        voting, "build_mwc_sop", lambda *a, **k: enumerated.append(a) or real(*a, **k)
+    )
+    vector, used = tbp_vector(system, "auto", mwc_cap=10)
+    assert used == "dp" and enumerated == []
+    assert vector == tbp_vector(system, "oracle")[0]

@@ -25,7 +25,7 @@ def test_parse_good_document():
     system = parse_spec(json.dumps(GOOD))
     assert system.name == "demo"
     assert system.labels == ("A", "B", "C", "D", "E")
-    assert system.chambers[0].k == 1
+    assert system.chambers[0].quota == 1
     assert system.chambers[1].quota == 4
 
 

@@ -10,8 +10,6 @@ from banzhaf.errors import DomainError
 from banzhaf.symmetric import (
     SymFunction,
     kofn_success,
-    sy_combine,
-    sy_complement,
     sy_derivative,
     sy_expand,
     sy_tbp,
@@ -47,32 +45,6 @@ def test_evaluate_counts_high_inputs():
     f = SymFunction(4, frozenset({1, 3}))
     for bits in range(16):
         assert f.evaluate(bits) == (bits.bit_count() in {1, 3})
-
-
-def test_combine_matches_truth_table():
-    rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randint(0, 6)
-        f, g = random_sym(rng, n), random_sym(rng, n)
-        for op, fn in (("and", min), ("or", max), ("xor", lambda a, b: a != b)):
-            h = sy_combine(f, g, op)
-            for bits in range(1 << n):
-                assert h.evaluate(bits) == bool(fn(f.evaluate(bits), g.evaluate(bits)))
-
-
-def test_combine_errors():
-    with pytest.raises(DomainError):
-        sy_combine(kofn_success(1, 2), kofn_success(1, 3), "and")
-    with pytest.raises(DomainError):
-        sy_combine(kofn_success(1, 2), kofn_success(1, 2), "nand")
-
-
-def test_complement():
-    f = kofn_success(2, 4)
-    g = sy_complement(f)
-    assert g.charset == frozenset({0, 1})
-    for bits in range(16):
-        assert f.evaluate(bits) != g.evaluate(bits)
 
 
 def test_expand_branches_of_kofn():

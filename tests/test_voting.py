@@ -21,8 +21,6 @@ from banzhaf.voting import (
     ScalarWeightedSystem,
     build_mlc_sop,
     build_mwc_sop,
-    chamber_closed_form_tbp,
-    decision_function,
     mlc_sop,
     mwc_sop,
     pgi_cpgi,
@@ -75,13 +73,18 @@ def test_scalar_defaults_and_evaluate():
 # --- chambers --------------------------------------------------------------
 
 
-def test_chamber_mode_exclusivity():
+def test_chamber_validation():
     with pytest.raises(ValidationError):
-        Chamber(labels=("A",), quota=1, weights=(1,), k=1)
+        Chamber(("A", "B"), 1, (1,))
     with pytest.raises(ValidationError):
-        Chamber(labels=("A", "B"))
+        Chamber(("A", "B"), 3, (1, 1))
     with pytest.raises(ValidationError):
         Chamber.k_of_n(("A", "B"), 3)
+    with pytest.raises(ValidationError):
+        Chamber.weighted(("A", "B"), 0, (1, 1))
+    # k = 0 is the constant-true chamber
+    assert Chamber.k_of_n(("A", "B"), 0) == Chamber(("A", "B"), 0, (1, 1))
+    assert Chamber.k_of_n(("A", "B"), 0).evaluate(0)
 
 
 def test_chamber_kofn_reduction():
@@ -147,6 +150,15 @@ def test_build_mwc_sop_minimality_and_coverage():
             assert all(total - weights[v] < quota for v in coalition)
 
 
+def test_build_mwc_sop_deep_unanimity_chamber():
+    # 1,200 voters must all join: the search is 1,200 levels deep
+    weights = (1, 2) * 600
+    chamber = Chamber.weighted([f"V{i}" for i in range(1200)], sum(weights), weights)
+    vector, used = tbp_vector(ChamberSystem((chamber,)), "quotient_pos")
+    assert used == "quotient_pos"
+    assert vector == [1] * 1200
+
+
 def test_build_mwc_sop_cap():
     sys = ScalarWeightedSystem(5, (1,) * 10)
     with pytest.raises(ResourceLimitError):
@@ -193,16 +205,6 @@ def test_mlc_sop_union():
     }
 
 
-def test_decision_function_shapes():
-    from banzhaf.boolean_core import SopForm
-    from banzhaf.symmetric import SymFunction
-
-    parts = decision_function(load_system("unsc"))
-    assert isinstance(parts[0], SymFunction) and parts[0].charset == frozenset({5})
-    parts = decision_function(ChamberSystem.from_scalar(SCOTTISH))
-    assert isinstance(parts[0], SopForm)
-
-
 # --- chamber systems -------------------------------------------------------
 
 
@@ -234,16 +236,14 @@ def test_warnings_flag_low_quota():
 
 
 def test_closed_form_unsc():
-    system = load_system("unsc")
-    assert chamber_closed_form_tbp(system, 0) == 848
-    assert chamber_closed_form_tbp(system, 1) == 84
+    vector, used = tbp_vector(load_system("unsc"), "closed_form")
+    assert used == "closed_form"
+    assert vector == [848] * 5 + [84] * 10
 
 
 def test_closed_form_needs_kofn_chambers():
     with pytest.raises(UnsupportedMethodError):
-        chamber_closed_form_tbp(ChamberSystem.from_scalar(SCOTTISH), 0)
-    with pytest.raises(DomainError):
-        chamber_closed_form_tbp(load_system("unsc"), 2)
+        tbp_vector(ChamberSystem.from_scalar(SCOTTISH), "closed_form")
 
 
 # --- TBP routes ------------------------------------------------------------
