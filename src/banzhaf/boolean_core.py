@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ContractViolationError, DomainError, ResourceLimitError
+from .oracle import truth_table
 
 IE_PRODUCT_CAP = 20
 
@@ -142,8 +143,9 @@ class SopForm:
         return any(p.evaluate(bits) for p in self.products)
 
     def minterms(self) -> set[int]:
-        """Exhaustive minterm set; intended for small n only (tests, oracles)."""
-        return {bits for bits in range(1 << self.n) if self.evaluate(bits)}
+        """Assignments on which the form is true, read off its truth table."""
+        digits = format(truth_table(self.evaluate, self.n), "b")
+        return {bits for bits, digit in enumerate(reversed(digits)) if digit == "1"}
 
     def __repr__(self) -> str:
         return f"SopForm(n={self.n}, products={list(self.products)!r}, disjoint={self.disjoint_certified})"
@@ -317,22 +319,3 @@ def derivative_weight(f: SopForm, var: int) -> int:
 def is_positive_unate(f: SopForm) -> bool:
     """Syntactic check: no product carries a complemented literal."""
     return all(p.neg == 0 for p in f.products)
-
-
-def is_positive_unate_semantic(f: SopForm, cap: int = 16) -> tuple[bool, tuple[int, int] | None]:
-    """Pointwise check that f(X|0_m) <= f(X|1_m) for every variable m.
-
-    Exhaustive over the truth table, so guarded by a universe-size cap.
-    Returns (verdict, witness); the witness is (variable, assignment with the
-    variable low) where raising the variable lowers the function.
-    """
-    if f.n > cap:
-        raise ResourceLimitError(f"universe of size {f.n} exceeds semantic-check cap {cap}")
-    for var in range(f.n):
-        bit = 1 << var
-        for bits in range(1 << f.n):
-            if bits & bit:
-                continue
-            if f.evaluate(bits) and not f.evaluate(bits | bit):
-                return False, (var, bits)
-    return True, None

@@ -1,8 +1,11 @@
-"""Brute-force ground truth by exhaustive truth-table enumeration.
+"""Brute-force ground truth from one exhaustive truth table.
 
 Evaluators are callables from an assignment bitmask (bit i = vote of voter i)
-to a truth value.  Every function here is an independent reference path: none
-of them reuse the algebraic weight or derivative machinery.
+to a truth value.  `truth_table` is the only exhaustive enumeration: it packs
+the function into one integer whose bit b is the value on assignment b, and
+every answer here is read from that integer with shifts, masks and
+`int.bit_count`.  None of it reuses the algebraic weight or derivative
+machinery.
 """
 
 from __future__ import annotations
@@ -16,30 +19,36 @@ DEFAULT_ORACLE_CAP = 24
 Evaluator = Callable[[int], bool]
 
 
-def _check_cap(n: int, cap: int) -> None:
+def truth_table(evaluate: Evaluator, n: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
+    """The function as a 2^n-bit integer: bit b is evaluate(b)."""
     if n > cap:
         raise ResourceLimitError(f"{n} voters exceeds oracle cap {cap}")
+    # binary digits, most significant (assignment 2^n - 1) first
+    return int(bytes(49 if evaluate(b) else 48 for b in reversed(range(1 << n))), 2)
+
+
+def no_mask(n: int, m: int) -> int:
+    """Truth-table positions where voter m votes no: runs of 2^m set bits
+    alternating with 2^m clear bits, over 2^n positions."""
+    width = 2 << m
+    mask = (1 << (width >> 1)) - 1
+    while width < 1 << n:
+        mask |= mask << width
+        width <<= 1
+    return mask
 
 
 def oracle_weight(evaluate: Evaluator, n: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Count of assignments on which the function is true."""
-    _check_cap(n, cap)
-    return sum(1 for bits in range(1 << n) if evaluate(bits))
+    return truth_table(evaluate, n, cap).bit_count()
 
 
-def oracle_tbp(evaluate: Evaluator, n: int, m: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Swing count for voter m: assignments where flipping bit m flips the value.
-
-    Counted over assignments with bit m high, which for any function equals
-    the weight of the pointwise XOR of the two restrictions.
-    """
-    _check_cap(n, cap)
-    bit = 1 << m
-    count = 0
-    for bits in range(1 << n):
-        if bits & bit and evaluate(bits) != evaluate(bits & ~bit):
-            count += 1
-    return count
+def oracle_tbp(evaluate: Evaluator, n: int, cap: int = DEFAULT_ORACLE_CAP) -> list[int]:
+    """Every voter's swing count: the assignments with voter m voting no on
+    which turning that vote to yes changes the value, i.e. the weight of the
+    Boolean difference with respect to voter m."""
+    table = truth_table(evaluate, n, cap)
+    return [(((table >> (1 << m)) ^ table) & no_mask(n, m)).bit_count() for m in range(n)]
 
 
 def oracle_monotone(
@@ -47,20 +56,18 @@ def oracle_monotone(
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check the function never drops when one vote turns high.
 
-    Returns (verdict, witness); the witness is a pair (low assignment, high
-    assignment) with f(low) = 1 and f(high) = 0.
+    Returns (verdict, witness); the witness is the smallest pair (low
+    assignment, high assignment), differing in one vote, with f(low) = 1 and
+    f(high) = 0.
     """
-    _check_cap(n, cap)
-    for bits in range(1 << n):
-        if not evaluate(bits):
-            continue
-        mask = ~bits & ((1 << n) - 1)
-        while mask:
-            low = mask & -mask
-            if not evaluate(bits | low):
-                return False, (bits, bits | low)
-            mask ^= low
-    return True, None
+    table = truth_table(evaluate, n, cap)
+    drops = []
+    for m in range(n):
+        lows = table & no_mask(n, m) & ~(table >> (1 << m))
+        if lows:
+            low = (lows & -lows).bit_length() - 1
+            drops.append((low, low | 1 << m))
+    return (False, min(drops)) if drops else (True, None)
 
 
 def oracle_causal(evaluate: Evaluator, n: int) -> bool:

@@ -449,18 +449,6 @@ def _tbp_dp_route(system: ChamberSystem) -> list[int]:
     ])
 
 
-def _tbp_oracle_route(system: ChamberSystem, oracle_cap: int) -> list[int]:
-    """Swing counts on the whole system's truth table, not composed."""
-    n = system.total_n
-    vector: list[int] = []
-    for ch, off in zip(system.chambers, system.offsets):
-        vector += _per_block(
-            ch,
-            lambda m: oracle_mod.oracle_tbp(system.evaluate, n, off + m, cap=oracle_cap),
-        )
-    return vector
-
-
 def tbp_vector(
     system: ChamberSystem,
     method: str = "auto",
@@ -482,7 +470,8 @@ def tbp_vector(
     if method == "closed_form":
         return _compose([_closed_form_local(ch) for ch in system.chambers]), method
     if method == "oracle":
-        return _tbp_oracle_route(system, oracle_cap), method
+        # the whole system's truth table, not composed
+        return oracle_mod.oracle_tbp(system.evaluate, system.total_n, oracle_cap), method
     return _tbp_sop_route(system, method, mwc_cap), method
 
 
@@ -560,33 +549,32 @@ def _member_counts(masks: list[int], n: int) -> list[int]:
 def swap_robust_check(
     system: ChamberSystem, cap: int = oracle_mod.DEFAULT_ORACLE_CAP
 ) -> tuple[bool, dict | None]:
-    """Search all pairs of winning coalitions for a one-for-one voter exchange
-    that leaves both results losing.  Returns (verdict, witness)."""
+    """Search for a one-for-one voter exchange between two winning coalitions
+    that leaves both losing.  Returns (verdict, witness).
+
+    Such an exchange exists exactly when two voters x and y are incomparable
+    in desirability (Taylor & Zwicker, Simple Games, 1999): some Z + x wins
+    while Z + y loses, and some W + y wins while W + x loses, with Z and W
+    holding neither voter.  Each pair is compared on the truth table.
+    """
     n = system.total_n
-    if n > cap:
-        raise ResourceLimitError(f"{n} voters exceeds cap {cap}")
+    table = oracle_mod.truth_table(system.evaluate, n, cap)
     labels = system.labels
-    winning = [bits for bits in range(1 << n) if system.evaluate(bits)]
-    win_set = set(winning)
-    for i1, c1 in enumerate(winning):
-        for c2 in winning[i1 + 1 :]:
-            a_mask = c1 & ~c2
-            while a_mask:
-                a = a_mask & -a_mask
-                b_mask = c2 & ~c1
-                while b_mask:
-                    b = b_mask & -b_mask
-                    c1_new = (c1 & ~a) | b
-                    c2_new = (c2 & ~b) | a
-                    if c1_new not in win_set and c2_new not in win_set:
-                        return False, {
-                            "coalition1": _label_set(c1, labels),
-                            "coalition2": _label_set(c2, labels),
-                            "swap_out": labels[a.bit_length() - 1],
-                            "swap_in": labels[b.bit_length() - 1],
-                        }
-                    b_mask ^= b
-                a_mask ^= a
+    no = [oracle_mod.no_mask(n, m) for m in range(n)]
+    for x, y in itertools.combinations(range(n), 2):
+        # both indexed by Z + x, Z holding neither voter: Z + x wins, Z + y wins
+        with_x = table & ~no[x] & no[y]
+        with_y = (table & no[x] & ~no[y]) >> ((1 << y) - (1 << x))
+        only_x, only_y = with_x & ~with_y, with_y & ~with_x
+        if only_x and only_y:
+            c1 = (only_x & -only_x).bit_length() - 1
+            c2 = (only_y & -only_y).bit_length() - 1 - (1 << x) + (1 << y)
+            return False, {
+                "coalition1": _label_set(c1, labels),
+                "coalition2": _label_set(c2, labels),
+                "swap_out": labels[x],
+                "swap_in": labels[y],
+            }
     return True, None
 
 

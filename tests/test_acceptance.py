@@ -127,7 +127,7 @@ def test_criterion_5_tricameral_parliament(capsys):
         per_chamber = []
         for ch in system.chambers:
             local = kofn_success(ch.quota, ch.n)
-            swing = oracle_tbp(local.evaluate, ch.n, 0)
+            swing = oracle_tbp(local.evaluate, ch.n)[0]
             weight = oracle_weight(local.evaluate, ch.n)
             per_chamber.append((swing, weight))
         for i, (swing, _) in enumerate(per_chamber):

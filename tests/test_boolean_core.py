@@ -16,13 +16,13 @@ from banzhaf.boolean_core import (
     derivative_weight,
     is_pairwise_disjoint,
     is_positive_unate,
-    is_positive_unate_semantic,
     make_disjoint,
     restrict,
     weight_disjoint,
     weight_ie,
 )
 from banzhaf.errors import ContractViolationError, DomainError, ResourceLimitError
+from banzhaf.oracle import oracle_monotone
 
 from conftest import product, random_positive_sop, random_sop, sop
 
@@ -211,11 +211,12 @@ def test_derivative_of_literal_times_free_function():
 def test_unateness_examples(scottish_mwc_sop, scottish_disjoint_sop):
     assert is_positive_unate(scottish_mwc_sop)
     assert not is_positive_unate(scottish_disjoint_sop)
-    assert is_positive_unate_semantic(scottish_disjoint_sop)[0]
+    f = scottish_disjoint_sop
+    assert oracle_monotone(f.evaluate, f.n) == (True, None)
     mixed = sop(2, product(0, (1, False)))
-    verdict, witness = is_positive_unate_semantic(mixed)
+    verdict, (low, high) = oracle_monotone(mixed.evaluate, mixed.n)
     assert not verdict
-    assert witness[0] == 1
+    assert high ^ low == 1 << 1  # raising variable 1 lowers the function
 
 
 # --- invariants ------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_swap_robust_flag():
     assert "swap_witness" not in doc
 
 
+def test_zero_voter_constant_true_chamber(monkeypatch):
+    spec = {"name": "empty", "chambers": [{"type": "k_of_n", "voters": [], "k": 0}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    doc = json.loads(
+        run_cli("--system", "-", "--method", "oracle", "--swap-robust", "--format", "json")
+    )
+    assert doc["voters"] == [] and doc["total_tbp"] == "0"
+    assert doc["swap_robust"] is True
+
+
 def test_stdin_spec(monkeypatch):
     spec = json.dumps(
         {

@@ -8,7 +8,13 @@ import pytest
 from banzhaf import voting
 from banzhaf.errors import UnsupportedMethodError
 from banzhaf.specfile import load_system
-from banzhaf.voting import Chamber, ChamberSystem, pgi_cpgi, tbp_vector
+from banzhaf.voting import (
+    Chamber,
+    ChamberSystem,
+    pgi_cpgi,
+    swap_robust_check,
+    tbp_vector,
+)
 
 ROUTES = ("derivative", "quotient_pos", "quotient_neg", "quotient_diff", "complement", "auto")
 
@@ -82,6 +88,49 @@ def test_routes_match_whole_system_oracle_on_random_chamber_systems():
             with pytest.raises(UnsupportedMethodError):
                 tbp_vector(system, "closed_form")
         assert pgi_cpgi(system) == brute_force_pgi_cpgi(system), system
+
+
+def brute_force_swap_robust(system: ChamberSystem) -> bool:
+    """The definition, scanned directly: no two winning coalitions trade one
+    member each so that both results lose."""
+    winning = [bits for bits in range(1 << system.total_n) if system.evaluate(bits)]
+    win_set = set(winning)
+    for i1, c1 in enumerate(winning):
+        for c2 in winning[i1 + 1 :]:
+            a_mask = c1 & ~c2
+            while a_mask:
+                a = a_mask & -a_mask
+                b_mask = c2 & ~c1
+                while b_mask:
+                    b = b_mask & -b_mask
+                    if ((c1 & ~a) | b) not in win_set and ((c2 & ~b) | a) not in win_set:
+                        return False
+                    b_mask ^= b
+                a_mask ^= a
+    return True
+
+
+def test_swap_robust_check_matches_definition_on_random_chamber_systems():
+    rng = random.Random(1999)
+    not_robust = 0
+    for _ in range(150):
+        system = random_system(rng)
+        robust, witness = swap_robust_check(system)
+        assert robust == brute_force_swap_robust(system), system
+        if robust:
+            assert witness is None
+            continue
+        not_robust += 1
+        index = {lab: 1 << i for i, lab in enumerate(system.labels)}
+        c1 = sum(index[lab] for lab in witness["coalition1"])
+        c2 = sum(index[lab] for lab in witness["coalition2"])
+        out, into = index[witness["swap_out"]], index[witness["swap_in"]]
+        assert c1 & out and not c1 & into, witness
+        assert c2 & into and not c2 & out, witness
+        assert system.evaluate(c1) and system.evaluate(c2), witness
+        assert not system.evaluate(c1 - out + into), witness
+        assert not system.evaluate(c2 - into + out), witness
+    assert not_robust >= 20  # 27 of the 150
 
 
 def test_every_route_matches_closed_form_on_tricameral():
