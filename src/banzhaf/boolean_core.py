@@ -11,6 +11,7 @@ a variable is rejected at construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -26,9 +27,6 @@ class Literal:
 
     var: int
     positive: bool = True
-
-    def __invert__(self) -> "Literal":
-        return Literal(self.var, not self.positive)
 
 
 class Product:
@@ -81,9 +79,6 @@ class Product:
         for var in _iter_bits(self.neg):
             yield Literal(var, False)
 
-    def has_var(self, var: int) -> bool:
-        return bool(self.support >> var & 1)
-
     def opposes(self, other: "Product") -> bool:
         """True iff some variable is complemented in one and not in the other."""
         return bool(self.pos & other.neg or self.neg & other.pos)
@@ -104,12 +99,8 @@ class Product:
         return hash((self.pos, self.neg))
 
     def __repr__(self) -> str:
-        if not self.support:
-            return "Product(1)"
-        parts = []
-        for var in _iter_bits(self.support):
-            parts.append(f"x{var}" if self.pos >> var & 1 else f"~x{var}")
-        return "Product(" + " ".join(parts) + ")"
+        parts = [f"x{v}" if self.pos >> v & 1 else f"~x{v}" for v in _iter_bits(self.support)]
+        return f"Product({' '.join(parts) or 1})"
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -135,10 +126,6 @@ class SopForm:
             if p.support & ~limit:
                 raise DomainError(f"product {p!r} uses variables outside universe of size {self.n}")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.products
-
     def evaluate(self, bits: int) -> bool:
         return any(p.evaluate(bits) for p in self.products)
 
@@ -153,12 +140,7 @@ class SopForm:
 
 def is_pairwise_disjoint(f: SopForm) -> bool:
     """Check that every pair of products has at least one opposition."""
-    prods = f.products
-    for i in range(len(prods)):
-        for j in range(i + 1, len(prods)):
-            if not prods[i].opposes(prods[j]):
-                return False
-    return True
+    return all(p.opposes(q) for p, q in itertools.combinations(f.products, 2))
 
 
 def certify_disjoint(f: SopForm) -> SopForm:
@@ -194,11 +176,7 @@ def conjoin_literal(f: SopForm, var: int, positive: bool) -> SopForm:
     if not 0 <= var < f.n:
         raise DomainError(f"variable {var} out of range for universe of size {f.n}")
     lit = Product([Literal(var, positive)])
-    kept = []
-    for p in f.products:
-        merged = p.conjoin(lit)
-        if merged is not None:
-            kept.append(merged)
+    kept = [m for p in f.products if (m := p.conjoin(lit)) is not None]
     return SopForm(f.n, tuple(kept), disjoint_certified=f.disjoint_certified)
 
 

@@ -17,6 +17,7 @@ content raise ValidationError.  Error messages carry the field path.
 from __future__ import annotations
 
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 from typing import IO
@@ -44,17 +45,18 @@ def fixture_path(name: str) -> Path:
 
 def load_system(name_or_path: str) -> ChamberSystem:
     """Load from a path, from standard input ('-'), or by bundled name."""
-    if name_or_path == "-":
-        import sys
-
-        return parse_spec(sys.stdin)
     path = Path(name_or_path)
-    if not path.exists() and name_or_path in BUNDLED:
+    if name_or_path != "-" and not path.exists():
+        if name_or_path not in BUNDLED:
+            raise ParseError(f"no such system spec: {name_or_path}")
         path = fixture_path(name_or_path)
-    if not path.exists():
-        raise ParseError(f"no such system spec: {name_or_path}")
-    with open(path, encoding="utf-8") as fh:
-        return parse_spec(fh)
+    try:
+        if name_or_path == "-":
+            return parse_spec(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return parse_spec(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read system spec {name_or_path}: {exc}") from exc
 
 
 def parse_spec(source: IO[str] | str) -> ChamberSystem:
@@ -64,6 +66,8 @@ def parse_spec(source: IO[str] | str) -> ChamberSystem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     name = doc.get("name", "")

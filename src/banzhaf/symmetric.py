@@ -34,9 +34,6 @@ class SymFunction:
     def is_constant_zero(self) -> bool:
         return not self.charset
 
-    def evaluate_count(self, ones: int) -> bool:
-        return ones in self.charset
-
     def evaluate(self, bits: int) -> bool:
         return bits.bit_count() in self.charset
 

@@ -6,7 +6,9 @@ is a weighted chamber with unit weights.  Total Banzhaf power is computed by
 several independent routes (Boolean derivative, quotient formulas on the
 decision function or its complement, closed forms for k-out-of-n chambers,
 subset-sum dynamic programming, and the brute-force oracle), which must
-agree exactly.
+agree exactly.  `auto` plans each chamber's route from its sizes alone: the
+closed form for k-out-of-n, else subset sums or quotients, whichever the
+sizes say is cheaper.
 
 Every route but the oracle works on one chamber at a time: it returns each
 member's local swing count and the chamber's weight (its number of winning
@@ -41,6 +43,7 @@ from .errors import (
 )
 
 MWC_CAP = 10**6
+DP_CAP = 10**6
 
 METHODS = (
     "derivative",
@@ -120,8 +123,9 @@ class Chamber:
         return total >= self.quota
 
     def weight(self) -> int:
-        """Number of winning local assignments."""
-        return _dp_winning_count(self.weights, self.quota)
+        """Number of winning local assignments: 2^n less the coalitions below
+        the quota, counted by subset sums, so capped by DP_CAP."""
+        return (1 << self.n) - sum(_dp_below(self)[1])
 
     def symmetric_blocks(self) -> list[list[int]]:
         """Local voter indices grouped so each group provably shares one TBP."""
@@ -252,7 +256,7 @@ def _minimal_coalitions(weights: tuple[int, ...], quota: int, cap: int) -> list[
                 if len(found) >= cap:
                     raise ResourceLimitError(
                         f"more than {cap} minimal winning coalitions; "
-                        "use the symmetric or dynamic-programming routes"
+                        "use method auto or closed_form"
                     )
                 found.append(mask)
             continue
@@ -345,28 +349,41 @@ def mlc_sop(system: ChamberSystem, cap: int = MWC_CAP) -> SopForm:
 # Subset-sum dynamic programming
 
 
-def _dp_sum_counts(weights: tuple[int, ...]) -> list[int]:
-    counts = [0] * (sum(weights) + 1)
-    counts[0] = 1
-    top = 0
+def _dp_grid(ch: Chamber) -> tuple[int, int]:
+    """Common factor g of the weights, and the table width: the quota in g units rounded up."""
+    g = math.gcd(*ch.weights) or 1
+    return g, -(-ch.quota // g)
+
+
+def _dp_below(ch: Chamber) -> tuple[list[int], list[int]]:
+    """The weights in units of their common factor, and the number of
+    coalitions of each weight below the quota in those units (rounded up),
+    from one forward pass over a table that must fit DP_CAP."""
+    g, quota = _dp_grid(ch)
+    if quota > DP_CAP:
+        raise ResourceLimitError(f"subset-sum table of {quota} sums exceeds cap {DP_CAP}")
+    weights = [w // g for w in ch.weights]
+    below = [1] + [0] * (quota - 1) if quota else []
     for w in weights:
-        top += w
-        for s in range(top, w - 1, -1):
-            counts[s] += counts[s - w]
-    return counts
+        # each sum s >= w gains the old table's coalitions of weight s - w
+        below[w:] = [a + b for a, b in zip(below[w:], below)]
+    return weights, below
 
 
-def _dp_winning_count(weights: tuple[int, ...], quota: int) -> int:
-    counts = _dp_sum_counts(weights)
-    return sum(counts[quota:])
-
-
-def _dp_swing_count(weights: tuple[int, ...], quota: int, m: int) -> int:
-    others = weights[:m] + weights[m + 1 :]
-    counts = _dp_sum_counts(others) if others else [1]
-    lo = max(quota - weights[m], 0)
-    hi = min(quota - 1, len(counts) - 1)
-    return sum(counts[lo : hi + 1])
+def _dp_local(ch: Chamber) -> tuple[list[int], int]:
+    """Each member's swing count and the chamber weight from one subset-sum
+    pass over the sums below the quota (Bilbao et al., TOP 8, 2000).  A member
+    of weight w swings for the others' coalitions weighing quota - w .. quota - 1,
+    counted by dividing its factor (1 + x^w) out: c_m[s] = c[s] - c_m[s - w]."""
+    weights, below = _dp_below(ch)
+    quota = len(below)
+    swings = {}
+    for w in set(weights):
+        rest = below[:]
+        for s in range(w, quota):
+            rest[s] -= rest[s - w]
+        swings[w] = sum(rest[max(quota - w, 0) :])
+    return [swings[w] for w in weights], (1 << ch.n) - sum(below)
 
 
 # ---------------------------------------------------------------------------
@@ -429,24 +446,39 @@ def _sop_swing(method: str, fd: SopForm, wt: int, m: int) -> int:
     return hi - _branch_weight(fd, m, 0)
 
 
+def _sop_local(ch: Chamber, form: SopForm, method: str) -> tuple[list[int], int]:
+    """Derivative, quotient or complement route on one chamber's disjointed
+    MWC form (MLC form for complement)."""
+    fd = make_disjoint(form)
+    wt = weight_disjoint(fd)
+    swings = _per_block(ch, lambda m: _sop_swing(method, fd, wt, m))
+    return swings, (1 << ch.n) - wt if method == "complement" else wt
+
+
 def _tbp_sop_route(system: ChamberSystem, method: str, mwc_cap: int) -> list[int]:
-    """Derivative, quotient or complement route on each chamber's disjointed
-    MWC form (MLC form for complement), composed once."""
-    losing = method == "complement"
-    per_chamber = []
-    for ch, form in zip(system.chambers, _chamber_forms(system, losing, mwc_cap)):
-        fd = make_disjoint(form)
-        wt = weight_disjoint(fd)
-        swings = _per_block(ch, lambda m: _sop_swing(method, fd, wt, m))
-        per_chamber.append((swings, (1 << ch.n) - wt if losing else wt))
-    return _compose(per_chamber)
+    forms = _chamber_forms(system, method == "complement", mwc_cap)
+    return _compose([_sop_local(ch, f, method) for ch, f in zip(system.chambers, forms)])
 
 
 def _tbp_dp_route(system: ChamberSystem) -> list[int]:
-    return _compose([
-        (_per_block(ch, lambda m: _dp_swing_count(ch.weights, ch.quota, m)), ch.weight())
-        for ch in system.chambers
-    ])
+    return _compose([_dp_local(ch) for ch in system.chambers])
+
+
+def _auto_local(ch: Chamber, mwc_cap: int) -> tuple[str, tuple[list[int], int]]:
+    """One chamber's route, planned from its sizes alone, and its counts.
+    The subset-sum pass takes about (n + distinct weights) steps per table
+    cell; the MWC form has at most s = C(n, n // 2) products (Sperner),
+    disjointed in about s² steps.  The SOP route is planned when the table
+    exceeds DP_CAP, or when s² is the smaller and s fits the MWC cap."""
+    if ch.as_kofn() is not None:
+        return "closed_form", _closed_form_local(ch)
+    # past 64 voters s dwarfs any table, and computing it exactly is slow
+    m = min(ch.n, 64)
+    s = math.comb(m, m // 2)
+    width = _dp_grid(ch)[1]
+    if width > DP_CAP or (s <= mwc_cap and s * s < (ch.n + len(set(ch.weights))) * width):
+        return "quotient_pos", _sop_local(ch, build_mwc_sop(ch, mwc_cap), "quotient_pos")
+    return "dp", _dp_local(ch)
 
 
 def tbp_vector(
@@ -460,13 +492,9 @@ def tbp_vector(
     if method not in METHODS:
         raise UnsupportedMethodError(f"unknown method {method!r}")
     if method == "auto":
-        if all(ch.as_kofn() is not None for ch in system.chambers):
-            method = "closed_form"
-        else:
-            try:
-                return _tbp_sop_route(system, "quotient_pos", mwc_cap), "quotient_pos"
-            except ResourceLimitError:
-                return _tbp_dp_route(system), "dp"
+        routes, per_chamber = zip(*(_auto_local(ch, mwc_cap) for ch in system.chambers))
+        used = "+".join(sorted(set(routes) - {"closed_form"})) or "closed_form"
+        return _compose(list(per_chamber)), used
     if method == "closed_form":
         return _compose([_closed_form_local(ch) for ch in system.chambers]), method
     if method == "oracle":
@@ -490,19 +518,11 @@ def tbp_report(
     pgi = cpgi = None
     if with_pgi:
         pgi, cpgi = pgi_cpgi(system, cap=mwc_cap)
-    voters = []
-    for i, label in enumerate(system.labels):
-        ntbp = Fraction(vector[i], total) if total else Fraction(0)
-        voters.append(
-            VoterPower(
-                label=label,
-                tbp=vector[i],
-                ntbp=ntbp,
-                dummy=vector[i] == 0,
-                pgi=pgi[i] if pgi else None,
-                cpgi=cpgi[i] if cpgi else None,
-            )
-        )
+    voters = [
+        VoterPower(label, tbp, Fraction(tbp, total) if total else Fraction(0), tbp == 0,
+                   pgi=pgi[i] if pgi else None, cpgi=cpgi[i] if cpgi else None)
+        for i, (label, tbp) in enumerate(zip(system.labels, vector))
+    ]
     return PowerReport(
         system_name=system.name,
         method=used,

@@ -119,6 +119,22 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_parse_error_for_directory(tmp_path, capsys):
+    assert cli.main(["--system", str(tmp_path)]) == 2
+    assert "cannot read system spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe{}", b"[" * 200_000], ids=["byte-order-mark", "nested-200000"]
+)
+def test_exit_code_parse_error_for_undecodable_or_deep_spec(data, tmp_path, monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
+    assert cli.main(["--system", str(path)]) == 2
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert cli.main(["--system", "-"]) == 2
+
+
 def test_exit_code_validation_error(tmp_path):
     doc = {
         "name": "x",

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from banzhaf import voting
-from banzhaf.errors import UnsupportedMethodError
+from banzhaf.errors import ResourceLimitError, UnsupportedMethodError
+from banzhaf.oracle import oracle_tbp, oracle_weight
 from banzhaf.specfile import load_system
 from banzhaf.voting import (
     Chamber,
@@ -141,15 +142,113 @@ def test_every_route_matches_closed_form_on_tricameral():
     assert voting._tbp_dp_route(system) == expected
 
 
+def record_enumeration(monkeypatch) -> list:
+    """Route every MWC and MLC list build through a recorder."""
+    enumerated = []
+    for name in ("build_mwc_sop", "build_mlc_sop"):
+        real = getattr(voting, name)
+        monkeypatch.setattr(
+            voting, name, lambda *a, real=real, **k: enumerated.append(a) or real(*a, **k)
+        )
+    return enumerated
+
+
 def test_kofn_chambers_sized_before_any_enumeration(monkeypatch):
     council = Chamber.weighted(("A", "B", "C", "D"), 6, (4, 3, 2, 1))
     assembly = Chamber.k_of_n(tuple(f"N{i}" for i in range(6)), 3)  # 20 MWCs
     system = ChamberSystem((council, assembly))
-    enumerated = []
-    real = voting.build_mwc_sop
-    monkeypatch.setattr(
-        voting, "build_mwc_sop", lambda *a, **k: enumerated.append(a) or real(*a, **k)
-    )
-    vector, used = tbp_vector(system, "auto", mwc_cap=10)
-    assert used == "dp" and enumerated == []
+    enumerated = record_enumeration(monkeypatch)
+    with pytest.raises(ResourceLimitError):
+        tbp_vector(system, "quotient_pos", mwc_cap=10)
+    assert enumerated == []
+
+
+def test_dp_kernel_matches_oracle_on_random_chambers():
+    rng = random.Random(4242)
+    for i in range(300):
+        n = rng.randint(1, 9)
+        factor = (1, 2, 3, 5)[i % 4]
+        weights = tuple(factor * rng.randint(1, 9) for _ in range(n))
+        # a random quota, mostly off the grid of the common factor; 0; unanimity
+        quota = (rng.randint(0, sum(weights)), 0, sum(weights))[i % 3]
+        ch = Chamber(tuple(f"V{j}" for j in range(n)), quota, weights)
+        swings, weight = voting._dp_local(ch)
+        assert swings == oracle_tbp(ch.evaluate, n), ch
+        assert weight == ch.weight() == oracle_weight(ch.evaluate, n), ch
+
+
+def subset_sum_reference(weights: tuple[int, ...], quota: int) -> tuple[list[int], int]:
+    """Swing counts from one subset-sum count of the other voters per voter,
+    and the winning count from one count of all voters."""
+
+    def sums(ws):
+        counts = {0: 1}
+        for w in ws:
+            for s, c in list(counts.items()):
+                counts[s + w] = counts.get(s + w, 0) + c
+        return counts
+
+    swings = [
+        sum(c for s, c in sums(weights[:m] + weights[m + 1 :]).items() if quota - own <= s < quota)
+        for m, own in enumerate(weights)
+    ]
+    return swings, sum(c for s, c in sums(weights).items() if s >= quota)
+
+
+def test_dp_kernel_matches_per_voter_reference_on_60_voters():
+    rng = random.Random(60)
+    weights = tuple(rng.randint(1, 9) for _ in range(60))
+    ch = Chamber.weighted([f"V{i}" for i in range(60)], sum(weights) * 2 // 3, weights)
+    assert voting._dp_local(ch) == subset_sum_reference(weights, ch.quota)
+
+
+def test_dp_table_over_cap_refused_before_it_is_built():
+    # gcd 1, so the table would need 10**12 cells; the SOP route has one MWC
+    system = ChamberSystem((Chamber.weighted("AB", 10**12, (10**12, 1)),))
+    assert tbp_vector(system, "auto") == ([2, 0], "quotient_pos")
+    with pytest.raises(ResourceLimitError, match=f"cap {voting.DP_CAP}"):
+        voting._tbp_dp_route(system)
+    with pytest.raises(ResourceLimitError, match=f"cap {voting.DP_CAP}"):
+        system.chambers[0].weight()
+
+
+def record_calls(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(voting, name)
+    monkeypatch.setattr(voting, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_auto_plans_sop_for_few_voters_with_a_wide_table(monkeypatch):
+    # a 600,000-sum table costs far more steps than at most C(10, 5) = 252 MWCs
+    rng = random.Random(10)
+    weights = tuple(rng.randint(50_000, 100_000) for _ in range(10))
+    system = ChamberSystem((Chamber.weighted("ABCDEFGHIJ", sum(weights) * 4 // 5, weights),))
+    tables = record_calls(monkeypatch, "_dp_below")
+    vector, used = tbp_vector(system, "auto")
+    assert used == "quotient_pos" and tables == []
     assert vector == tbp_vector(system, "oracle")[0]
+
+
+def test_auto_plans_each_chamber_on_its_own(monkeypatch):
+    assembly = Chamber.k_of_n([f"N{i}" for i in range(12)], 7)
+    council = Chamber.weighted([f"C{i}" for i in range(8)], 13, (5, 5, 4, 3, 3, 2, 1, 1))
+    wide = Chamber.weighted("WXYZ", 2 * 10**6, (10**6, 10**6 - 1, 3, 2))
+    system = ChamberSystem((assembly, council, wide))
+    kernels = record_calls(monkeypatch, "_dp_local")
+    vector, used = tbp_vector(system, "auto")
+    assert used == "dp+quotient_pos" and kernels == [(council,)]
+    assert vector == tbp_vector(system, "quotient_pos")[0]
+
+
+def test_auto_builds_no_coalition_list_for_a_large_chamber(monkeypatch):
+    rng = random.Random(2500)
+    weights = tuple(rng.randint(1, 3) for _ in range(2500))
+    labels = [f"V{i}" for i in range(2500)]
+    system = ChamberSystem((Chamber.weighted(labels, sum(weights) // 2 + 1, weights),))
+    enumerated = record_enumeration(monkeypatch)
+    vector, used = tbp_vector(system, "auto")
+    assert used == "dp" and enumerated == []
+    per_weight = dict(zip(weights, vector))
+    assert vector == [per_weight[w] for w in weights]
+    assert 0 < per_weight[1] < per_weight[2] < per_weight[3]

@@ -275,6 +275,7 @@ def test_unknown_method_rejected():
 
 def test_auto_falls_back_to_dp_when_capped():
     system = ChamberSystem.from_scalar(SCOTTISH)
+    # 5 voters may have C(5, 2) = 10 MWCs, over the cap, so auto plans dp
     vector, used = tbp_vector(system, "auto", mwc_cap=2)
     assert used == "dp"
     assert vector == [9, 7, 5, 3, 3]
