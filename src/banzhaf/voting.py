@@ -14,7 +14,9 @@ Every route but the oracle works on one chamber at a time: it returns each
 member's local swing count and the chamber's weight (its number of winning
 local assignments).  The chambers vote independently, so one compose step
 multiplies each member's count by the other chambers' weights.  The oracle
-enumerates the whole system, so it checks the compose step too.
+reads the whole system's truth table, the outcome of every assignment
+decided from the chambers' weights and quotas, so it checks the compose step
+too; it uses no swing count, chamber weight, SOP form or binomial.
 """
 
 from __future__ import annotations
@@ -188,6 +190,23 @@ class ChamberSystem:
             if not ch.evaluate(bits >> off & ((1 << ch.n) - 1)):
                 return False
         return True
+
+    def truth_table(self, cap: int = oracle_mod.DEFAULT_ORACLE_CAP) -> int:
+        """The system's 2^n-bit truth table (bit b is evaluate(b)), built from
+        each chamber's weights and quota with no call per assignment.
+
+        Chambers are placed from the last to the first: the table of the
+        chambers after each one spreads its bit b to bit b * 2^(chamber width),
+        and one product with the chamber's table fills in each spread bit.
+        Nothing carries, as a chamber's table is below 2^(2^width)."""
+        if self.total_n > cap:
+            raise ResourceLimitError(f"{self.total_n} voters exceeds oracle cap {cap}")
+        *rest, last = self.chambers
+        table = oracle_mod.threshold_table(last.weights, last.quota)
+        for ch in reversed(rest):
+            spread = int(("0" * ((1 << ch.n) - 1)).join(format(table, "b")), 2)
+            table = spread * oracle_mod.threshold_table(ch.weights, ch.quota)
+        return table
 
     def warnings(self) -> list[str]:
         out = []
@@ -372,17 +391,27 @@ def _dp_below(ch: Chamber) -> tuple[list[int], list[int]]:
 
 def _dp_local(ch: Chamber) -> tuple[list[int], int]:
     """Each member's swing count and the chamber weight from one subset-sum
-    pass over the sums below the quota (Bilbao et al., TOP 8, 2000).  A member
-    of weight w swings for the others' coalitions weighing quota - w .. quota - 1,
-    counted by dividing its factor (1 + x^w) out: c_m[s] = c[s] - c_m[s - w]."""
+    pass over the sums below the quota q (Bilbao et al., TOP 8, 2000).
+
+    A member of weight w swings for the others' coalitions weighing
+    q - w .. q - 1.  Dividing its factor (1 + x^w) out of the counts c gives
+    the others' counts c_m[s] = c[s] - c_m[s - w], so their sum over that
+    window is the alternating sum over t < q of (-1)^((q - 1 - t) // w) c[t]:
+    ceil(q / w) block sums from the top when w * w >= q, else w strided sums
+    of each sign."""
     weights, below = _dp_below(ch)
-    quota = len(below)
+    q = len(below)
     swings = {}
     for w in set(weights):
-        rest = below[:]
-        for s in range(w, quota):
-            rest[s] -= rest[s - w]
-        swings[w] = sum(rest[max(quota - w, 0) :])
+        if w * w >= q:
+            blocks = [sum(below[max(top - w, 0) : top]) for top in range(q, 0, -w)]
+            swings[w] = sum(blocks[::2]) - sum(blocks[1::2])
+        else:
+            # w * w < q gives q >= 2w, so no slice starts below 0
+            swings[w] = sum(
+                sum(below[q - 1 - r :: -2 * w]) - sum(below[q - 1 - r - w :: -2 * w])
+                for r in range(w)
+            )
     return [swings[w] for w in weights], (1 << ch.n) - sum(below)
 
 
@@ -499,7 +528,7 @@ def tbp_vector(
         return _compose([_closed_form_local(ch) for ch in system.chambers]), method
     if method == "oracle":
         # the whole system's truth table, not composed
-        return oracle_mod.oracle_tbp(system.evaluate, system.total_n, oracle_cap), method
+        return oracle_mod.oracle_tbp(system.truth_table(oracle_cap), system.total_n), method
     return _tbp_sop_route(system, method, mwc_cap), method
 
 
@@ -578,7 +607,7 @@ def swap_robust_check(
     holding neither voter.  Each pair is compared on the truth table.
     """
     n = system.total_n
-    table = oracle_mod.truth_table(system.evaluate, n, cap)
+    table = system.truth_table(cap)
     labels = system.labels
     no = [oracle_mod.no_mask(n, m) for m in range(n)]
     for x, y in itertools.combinations(range(n), 2):

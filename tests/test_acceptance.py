@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from banzhaf.boolean_core import SopForm, make_disjoint, restrict, weight_disjoint
 from banzhaf.combinatorics import binom, cum_binom
-from banzhaf.oracle import oracle_tbp, oracle_weight
+from banzhaf.oracle import oracle_tbp, oracle_weight, truth_table
 from banzhaf.render import format_sci, format_sig
 from banzhaf.specfile import BUNDLED, load_system
 from banzhaf.symmetric import kofn_success
@@ -121,13 +121,15 @@ def test_criterion_5_tricameral_parliament(capsys):
         vector, used = tbp_vector(system, "closed_form")
         assert used == "closed_form"
         assert vector == [12992] * 9 + [11040] * 7 + [8004] * 5
-        # 21 voters exceed the default whole-system oracle cap; the chambers
-        # vote independently, so a member's swing count factors into the
-        # chamber-local oracle swing times the other chambers' winning counts
+        # the whole-system oracle: 21 voters are within the default cap of 24
+        assert tbp_vector(system, "oracle")[0] == vector
+        # the chambers vote independently, so a member's swing count also
+        # factors into the chamber-local oracle swing times the other
+        # chambers' winning counts
         per_chamber = []
         for ch in system.chambers:
             local = kofn_success(ch.quota, ch.n)
-            swing = oracle_tbp(local.evaluate, ch.n)[0]
+            swing = oracle_tbp(truth_table(local.evaluate, ch.n), ch.n)[0]
             weight = oracle_weight(local.evaluate, ch.n)
             per_chamber.append((swing, weight))
         for i, (swing, _) in enumerate(per_chamber):

@@ -2,11 +2,16 @@
 
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import banzhaf.cli as cli
 from banzhaf.errors import ValidationError
+from banzhaf.specfile import load_system, parse_spec
+from banzhaf.voting import METHODS, swap_robust_check, tbp_report
 
 
 def run_cli(*argv: str) -> str:
@@ -87,6 +92,21 @@ def test_swap_robust_flag():
     )
     assert doc["swap_robust"] is True
     assert "swap_witness" not in doc
+
+
+def test_tricameral_oracle_check_and_swap_scan():
+    argv = ["--system", "tricameral", "--check", "oracle", "--swap-robust"]
+    assert "swap robust: no" in run_cli(*argv)
+    doc = json.loads(run_cli(*argv, "--format", "json"))
+    assert doc["swap_robust"] is False
+    system = load_system("tricameral")
+    index = {lab: 1 << i for i, lab in enumerate(system.labels)}
+    witness = doc["swap_witness"]
+    c1, c2 = (sum(index[lab] for lab in witness[key]) for key in ("coalition1", "coalition2"))
+    out, into = index[witness["swap_out"]], index[witness["swap_in"]]
+    assert c1 & out and not c1 & into and c2 & into and not c2 & out
+    assert system.evaluate(c1) and system.evaluate(c2)
+    assert not system.evaluate(c1 - out + into) and not system.evaluate(c2 - into + out)
 
 
 def test_zero_voter_constant_true_chamber(monkeypatch):
@@ -184,3 +204,73 @@ def test_argparse_rejects_out_of_range_numbers(flag, value, capsys):
 def test_argparse_rejects_unknown_method():
     with pytest.raises(SystemExit):
         cli.run(["--system", "family", "--method", "banzhaf2"], out=io.StringIO())
+
+
+# values a spec field may wrongly hold
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**13),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 60), max_size=7),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def near_valid_specs(draw) -> str:
+    """A valid spec of at most 3 chambers and 18 voters, or that spec with
+    one edit: a field dropped or given an odd value, a label repeated, the
+    document wrapped in a list, or its text cut short."""
+    chambers, first = [], 0
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 6))
+        voters = [f"V{first + i}" for i in range(n)]
+        first += n
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+            quota = draw(st.integers(0, sum(weights) + 1))
+            chambers.append({"type": "weighted", "voters": voters, "weights": weights, "quota": quota})
+        else:
+            chambers.append({"type": "k_of_n", "voters": voters, "k": draw(st.integers(0, n + 1))})
+    doc = {"name": "fuzz", "chambers": chambers}
+    edit = draw(st.sampled_from(("none", "drop", "odd", "repeat", "wrap", "cut")))
+    keys = ("type", "voters", "weights", "quota", "k")
+    if edit in ("drop", "odd", "repeat") and chambers:
+        chamber = draw(st.sampled_from(chambers))
+        if edit == "drop":
+            chamber.pop(draw(st.sampled_from(keys)), None)
+        elif edit == "odd":
+            chamber[draw(st.sampled_from(keys))] = draw(ODD_VALUES)
+        else:
+            chamber["voters"] = chamber["voters"] + ["V0"]
+    elif edit == "odd":
+        doc[draw(st.sampled_from(("name", "chambers")))] = draw(ODD_VALUES)
+    text = json.dumps([doc] if edit == "wrap" else doc)
+    return text[: draw(st.integers(0, len(text)))] if edit == "cut" else text
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=near_valid_specs(),
+    method=st.sampled_from(METHODS),
+    check=st.sampled_from([None] + [m for m in METHODS if m != "auto"]),
+    cap=st.integers(0, 12),
+    swap=st.booleans(),
+)
+def test_near_valid_specs_end_in_a_documented_exit_code(text, method, check, cap, swap):
+    argv = ["--system", "-", "--method", method, "--oracle-cap", str(cap)]
+    argv += ["--index", "tbp,ntbp,pgi,cpgi"] + (["--check", check] if check else [])
+    argv += ["--swap-robust"] if swap else []
+    with mock.patch("sys.stdin", io.StringIO(text)), mock.patch(
+        "sys.stdout", io.StringIO()
+    ), mock.patch("sys.stderr", io.StringIO()):
+        assert cli.main(argv) in {0, 2, 3, 4, 5}
+    # the library path, with a small enumeration cap as well
+    try:
+        system = parse_spec(text)
+        tbp_report(system, method, oracle_cap=cap, mwc_cap=cap, with_pgi=True)
+        swap_robust_check(system, cap=cap)
+    except tuple(cli.EXIT_CODES) as exc:
+        assert cli.EXIT_CODES[type(exc)] in {2, 3, 4, 5}, exc

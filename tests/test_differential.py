@@ -1,13 +1,15 @@
 """Differential checks of the per-chamber routes against whole-system
 enumeration, on seeded random multi-chamber systems."""
 
+import io
 import random
+import tracemalloc
 
 import pytest
 
-from banzhaf import voting
+from banzhaf import cli, oracle, voting
 from banzhaf.errors import ResourceLimitError, UnsupportedMethodError
-from banzhaf.oracle import oracle_tbp, oracle_weight
+from banzhaf.oracle import oracle_tbp, oracle_weight, truth_table
 from banzhaf.specfile import load_system
 from banzhaf.voting import (
     Chamber,
@@ -165,15 +167,26 @@ def test_kofn_chambers_sized_before_any_enumeration(monkeypatch):
 
 def test_dp_kernel_matches_oracle_on_random_chambers():
     rng = random.Random(4242)
+    chambers = []
     for i in range(300):
         n = rng.randint(1, 9)
         factor = (1, 2, 3, 5)[i % 4]
         weights = tuple(factor * rng.randint(1, 9) for _ in range(n))
         # a random quota, mostly off the grid of the common factor; 0; unanimity
         quota = (rng.randint(0, sum(weights)), 0, sum(weights))[i % 3]
+        chambers.append((weights, quota))
+    for _ in range(60):
+        # a unit weight beside a quota of many units (strided window sums)
+        rest = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 8)))
+        chambers.append(((1,) + rest, rng.randint(2, sum(rest) + 1)))
+        # a weight above half the quota (one or two window blocks)
+        quota = rng.randint(2, sum(rest) + 1)
+        chambers.append((rest + (rng.randint(quota // 2 + 1, 2 * quota),), quota))
+    for weights, quota in chambers:
+        n = len(weights)
         ch = Chamber(tuple(f"V{j}" for j in range(n)), quota, weights)
         swings, weight = voting._dp_local(ch)
-        assert swings == oracle_tbp(ch.evaluate, n), ch
+        assert swings == oracle_tbp(truth_table(ch.evaluate, n), n), ch
         assert weight == ch.weight() == oracle_weight(ch.evaluate, n), ch
 
 
@@ -252,3 +265,84 @@ def test_auto_builds_no_coalition_list_for_a_large_chamber(monkeypatch):
     per_weight = dict(zip(weights, vector))
     assert vector == [per_weight[w] for w in weights]
     assert 0 < per_weight[1] < per_weight[2] < per_weight[3]
+
+
+def random_table_system(rng: random.Random) -> ChamberSystem:
+    """1-3 chambers, any of them empty, at most 12 voters in all; quotas
+    include 0 and unanimity."""
+    count = rng.randint(1, 3)
+    total = rng.randint(0, 12)
+    cuts = sorted(rng.randint(0, total) for _ in range(count - 1))
+    chambers = []
+    for c, (a, b) in enumerate(zip([0] + cuts, cuts + [total])):
+        labels = [f"C{c}V{i}" for i in range(b - a)]
+        kind = rng.choice(("weighted", "k_of_n", "equal_weights"))
+        if kind == "k_of_n":
+            chambers.append(Chamber.k_of_n(labels, rng.randint(0, len(labels))))
+            continue
+        if kind == "equal_weights":
+            weights = (rng.randint(2, 5),) * len(labels)
+        else:
+            weights = tuple(rng.randint(1, 9) for _ in labels)
+        quota = rng.choice((rng.randint(0, sum(weights)), 0, sum(weights)))
+        chambers.append(Chamber(labels, quota, weights))
+    return ChamberSystem(tuple(chambers))
+
+
+TABLE_CASES = {
+    "empty chamber": lambda ch: ch.n == 0,
+    "k = 0": lambda ch: ch.n > 0 and ch.quota == 0 and max(ch.weights) == 1,
+    "weighted quota 0": lambda ch: ch.n > 0 and ch.quota == 0 and max(ch.weights) > 1,
+    "unanimity": lambda ch: ch.n > 1 and ch.quota == sum(ch.weights),
+    "equal weights above 1": lambda ch: ch.n > 1 and min(ch.weights) == max(ch.weights) > 1,
+}
+
+
+def test_system_truth_table_matches_evaluated_table_on_random_systems():
+    rng = random.Random(8128)
+    seen = set()
+    for _ in range(200):
+        system = random_table_system(rng)
+        assert system.truth_table() == truth_table(system.evaluate, system.total_n), system
+        seen.update(case for ch in system.chambers for case, has in TABLE_CASES.items() if has(ch))
+    assert seen == set(TABLE_CASES)
+
+
+def test_oracle_and_swap_check_call_no_evaluator(monkeypatch):
+    def refuse(self, bits):
+        raise AssertionError("evaluate called")
+
+    monkeypatch.setattr(Chamber, "evaluate", refuse)
+    monkeypatch.setattr(ChamberSystem, "evaluate", refuse)
+    for name in ("family", "unsc", "scottish2007", "tricameral"):
+        for flags in (["--method", "oracle"], ["--check", "oracle"], ["--swap-robust"]):
+            assert cli.run(["--system", name, *flags], out=io.StringIO()) == 0
+
+
+def test_truth_table_over_cap_refused_before_any_sum(monkeypatch):
+    sums = []
+    real = oracle._subset_sums
+    monkeypatch.setattr(oracle, "_subset_sums", lambda ws: sums.append(ws) or real(ws))
+    labels = [f"V{i}" for i in range(25)]
+    system = ChamberSystem((Chamber.k_of_n(labels[:5], 3), Chamber.k_of_n(labels[5:], 11)))
+    with pytest.raises(ResourceLimitError, match="25 voters exceeds oracle cap 24"):
+        system.truth_table()
+    with pytest.raises(ResourceLimitError, match="oracle cap 20"):
+        tbp_vector(system, "oracle", oracle_cap=20)
+    with pytest.raises(ResourceLimitError, match="oracle cap 24"):
+        swap_robust_check(system)
+    assert sums == []
+
+
+def test_truth_table_of_22_voters_stays_small_and_matches_dp():
+    rng = random.Random(22)
+    weights = tuple(rng.randint(1, 1000) for _ in range(22))
+    ch = Chamber.weighted([f"V{i}" for i in range(22)], sum(weights) // 2 + 1, weights)
+    tracemalloc.start()
+    try:
+        table = ChamberSystem((ch,)).truth_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert (oracle_tbp(table, 22), table.bit_count()) == voting._dp_local(ch)

@@ -54,16 +54,16 @@ def test_oracle_weight_cap():
 
 
 def test_oracle_tbp_majority():
-    assert oracle_tbp(majority3, 3) == [2, 2, 2]
+    assert oracle_tbp(truth_table(majority3, 3), 3) == [2, 2, 2]
 
 
 def test_oracle_tbp_dictator_and_dummy():
     dictator = lambda bits: bool(bits & 1)
-    assert oracle_tbp(dictator, 4) == [8, 0, 0, 0]
+    assert oracle_tbp(truth_table(dictator, 4), 4) == [8, 0, 0, 0]
 
 
 def test_oracle_tbp_no_voters():
-    assert oracle_tbp(lambda bits: True, 0) == []
+    assert oracle_tbp(truth_table(lambda bits: True, 0), 0) == []
 
 
 def test_oracle_monotone_verdicts():

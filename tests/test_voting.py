@@ -13,7 +13,7 @@ from banzhaf.errors import (
     UnsupportedMethodError,
     ValidationError,
 )
-from banzhaf.oracle import oracle_monotone, oracle_tbp, oracle_weight
+from banzhaf.oracle import oracle_monotone, oracle_tbp, oracle_weight, truth_table
 from banzhaf.specfile import load_system
 from banzhaf.voting import (
     Chamber,
@@ -302,7 +302,7 @@ def test_routes_agree_on_random_scalar_systems():
 def test_symmetric_fanout_matches_per_voter_oracle():
     # equal-weight groups must not collapse distinct voters incorrectly
     system = ChamberSystem.from_scalar(ScalarWeightedSystem(6, (3, 3, 2, 2, 1)))
-    assert tbp_vector(system, "auto")[0] == oracle_tbp(system.evaluate, 5)
+    assert tbp_vector(system, "auto")[0] == oracle_tbp(truth_table(system.evaluate, 5), 5)
 
 
 # --- reports ---------------------------------------------------------------
